@@ -17,16 +17,6 @@ import (
 // artifact carries them, mirroring the gauge names BenchmarkPacketPath
 // records into BENCH_<rev>.json.
 func runLoadgen(cfg emulation.Config, reg *obs.Registry) (*emulation.Result, error) {
-	// Pre-generate the identical deterministic workload to price it: the
-	// packet and byte totals of what Run will inject.
-	packets, bytes := 0, int64(0)
-	for _, s := range emulation.GenerateWorkload(cfg) {
-		packets += len(s.Packets)
-		for _, p := range s.Packets {
-			bytes += int64(len(p.Payload))
-		}
-	}
-
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -37,6 +27,8 @@ func runLoadgen(cfg emulation.Config, reg *obs.Registry) (*emulation.Result, err
 	if err != nil {
 		return nil, err
 	}
+	// The totals of what Run injected, generation included in the timing.
+	packets, bytes := res.Packets, res.PayloadBytes
 
 	sec := elapsed.Seconds()
 	allocs := float64(after.Mallocs - before.Mallocs)

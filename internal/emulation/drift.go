@@ -416,6 +416,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	lastReconfig := -cfg.CooldownSessions
 	transitionLeft := 0
 	var decBuf []shim.Decision
+	owner := newOwnerSet(nPoP + 1) // every PoP plus a datacenter
 	detectedBy := func(e *nids.Engine) map[packet.FiveTuple]bool {
 		out := make(map[packet.FiveTuple]bool)
 		for _, al := range e.Alerts() {
@@ -437,18 +438,22 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 				res.MaliciousSessions++
 			}
 			inTransition := ctl.Pending() != nil
-			owner := make(map[int]bool)
+			owner.reset()
+			key := shim.ClassKey{SrcPoP: uint8(sess.SrcPoP), DstPoP: uint8(sess.DstPoP)}
+			watched := classSeries[key] != nil
+			// Reverse-direction packets walk the forward path back to front.
+			nodes := base.Routing.Path(sess.SrcPoP, sess.DstPoP).Nodes
 			for _, p := range sess.Packets {
 				vc.Advance(packetTick)
-				if key := (shim.ClassKey{SrcPoP: uint8(sess.SrcPoP), DstPoP: uint8(sess.DstPoP)}); classSeries[key] != nil {
+				if watched {
 					classBytes[key] += uint64(len(p.Payload))
 				}
 				oracle.ProcessPacket(p)
-				path := base.Routing.Path(sess.SrcPoP, sess.DstPoP)
-				if p.Dir == packet.Reverse {
-					path = path.Reverse()
-				}
-				for _, node := range path.Nodes {
+				for k := range nodes {
+					node := nodes[k]
+					if p.Dir == packet.Reverse {
+						node = nodes[len(nodes)-1-k]
+					}
 					sh, ok := fleet.shims[node]
 					if !ok {
 						continue
@@ -460,15 +465,15 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 						switch d.Act {
 						case shim.Process:
 							engineOf(node).ProcessPacket(p)
-							owner[node] = true
+							owner.add(node)
 						case shim.Replicate:
 							engineOf(d.Mirror).ProcessPacket(p)
-							owner[d.Mirror] = true
+							owner.add(d.Mirror)
 						}
 					}
 				}
 			}
-			if len(owner) == 0 || (!inTransition && len(owner) != 1) {
+			if len(owner.list) == 0 || (!inTransition && len(owner.list) != 1) {
 				res.OwnershipErrors++
 			}
 			injected++

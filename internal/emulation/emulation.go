@@ -129,8 +129,11 @@ type NodeStats struct {
 // Result summarizes an emulation run.
 type Result struct {
 	Nodes []NodeStats
-	// Sessions is the number of sessions injected.
-	Sessions int
+	// Sessions is the number of sessions injected, Packets their packet
+	// count and PayloadBytes the payload bytes those packets carry.
+	Sessions     int
+	Packets      int
+	PayloadBytes int64
 	// MaliciousSessions and DetectedSessions validate end-to-end detection:
 	// every planted signature should be caught by whichever node owns the
 	// session.
@@ -231,9 +234,13 @@ func Run(cfg Config) (*Result, error) {
 		return tb.send(from, to, p)
 	}
 
-	sessions := GenerateWorkload(cfg)
+	// Sessions are generated one at a time as the loop below asks for
+	// them, so generation overlaps the engine workers and a session's
+	// packets are garbage once it has been dispatched.
+	stream := workload(cfg)
+	nSessions := stream.Len()
 	cfg.Log.Debug("emulation start",
-		"topology", sc.Graph.Name(), "nodes", nNIDS, "sessions", len(sessions), "live", cfg.Live)
+		"topology", sc.Graph.Name(), "nodes", nNIDS, "sessions", nSessions, "live", cfg.Live)
 
 	// Telemetry: the virtual clock ticks per unit of simulated work, the
 	// tick recorder samples per-node and per-class load into timeline
@@ -247,18 +254,29 @@ func Run(cfg Config) (*Result, error) {
 		},
 		func(j int) shim.Counters { return shims[j].Counters })
 	runSpan := cfg.Trace.StartSpan("emulation.run").
-		Arg("topology", sc.Graph.Name()).Arg("sessions", len(sessions))
+		Arg("topology", sc.Graph.Name()).Arg("sessions", nSessions)
 	defer runSpan.End()
 
-	res := &Result{Sessions: len(sessions)}
+	res := &Result{Sessions: nSessions}
 	preAlerts := make([]int, nNIDS)
 	owner := newOwnerSet(nNIDS)
 	var decBuf []shim.Decision
+	// Live mode checks detection after the run against the canonical
+	// tuples of the malicious sessions, the only part of the trace it keeps.
+	var maliciousTuples []packet.FiveTuple
 
-	for si, sess := range sessions {
+	for si := 0; ; si++ {
+		sess, ok := stream.Next()
+		if !ok {
+			break
+		}
 		if sess.Malicious {
 			res.MaliciousSessions++
+			if cfg.Live {
+				maliciousTuples = append(maliciousTuples, sess.Tuple.Canonical())
+			}
 		}
+		res.Packets += len(sess.Packets)
 		var sessSpan *obs.TraceSpan // nil past the traced prefix; nil-safe
 		if si < cfg.TraceSessions {
 			sessSpan = runSpan.Child("session").
@@ -289,6 +307,7 @@ func Run(cfg Config) (*Result, error) {
 			ingress := sessSpan.Child("ingress")
 			vc.Advance(packetTick)
 			ingress.End()
+			res.PayloadBytes += int64(len(p.Payload))
 			tel.addClassBytes(sess.SrcPoP, sess.DstPoP, uint64(len(p.Payload)))
 			for j := range nodes {
 				ni := j
@@ -370,8 +389,8 @@ func Run(cfg Config) (*Result, error) {
 			return got >= local+sent
 		})
 		// Count detected malicious sessions post-hoc by matching alert
-		// tuples against the generated sessions (the supernode knows which
-		// sessions were malicious).
+		// tuples against the malicious sessions' canonical tuples (the
+		// supernode knows which sessions were malicious).
 		detected := make(map[packet.FiveTuple]bool)
 		for j := range engines {
 			engMu[j].Lock()
@@ -380,8 +399,8 @@ func Run(cfg Config) (*Result, error) {
 			}
 			engMu[j].Unlock()
 		}
-		for _, sess := range sessions {
-			if sess.Malicious && detected[sess.Tuple.Canonical()] {
+		for _, tuple := range maliciousTuples {
+			if detected[tuple] {
 				res.DetectedSessions++
 			}
 		}
@@ -390,7 +409,7 @@ func Run(cfg Config) (*Result, error) {
 	// Every enqueued packet must be applied before the trailing tick and
 	// the final stats read.
 	feed.stop()
-	tel.finish(len(sessions))
+	tel.finish(nSessions)
 
 	agg := runSpan.Child("aggregation")
 	defer agg.End()
@@ -455,7 +474,11 @@ func recordMetrics(reg *obs.Registry, res *Result, shims []*shim.Shim) {
 // GenerateWorkload produces the deterministic session trace Run would
 // replay for this configuration (same seed → byte-identical sessions).
 func GenerateWorkload(cfg Config) []packet.Session {
-	cfg = cfg.withDefaults()
+	return workload(cfg.withDefaults()).Collect()
+}
+
+// workload returns the session stream Run replays for a defaulted config.
+func workload(cfg Config) *packet.SessionStream {
 	counts := sessionCounts(cfg.Assignment.Scenario, cfg.TotalSessions)
 	gen := packet.NewGenerator(packet.GeneratorConfig{
 		PacketsPerSession: cfg.PacketsPerSession,
@@ -463,7 +486,7 @@ func GenerateWorkload(cfg Config) []packet.Session {
 		MaliciousFraction: cfg.MaliciousFraction,
 		Signatures:        sigsOf(cfg.Rules),
 	}, cfg.GenSeed)
-	return gen.Matrix(counts)
+	return gen.Stream(counts)
 }
 
 // SaveTrace writes the workload Run(assignment, totalSessions, seed) would

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"strings"
 	"testing"
 )
 
@@ -130,5 +131,27 @@ func TestFindingKey(t *testing.T) {
 	}
 	if f.Key() != "r\ta/b.go\tm" {
 		t.Errorf("Key() = %q, want rule<TAB>file<TAB>message", f.Key())
+	}
+}
+
+// TestLoadSkipsNestedModules checks that ./... stops at a directory with
+// its own go.mod, as the go tool does: testdata/mod holds module
+// example.com/outer with a nested module under nested/.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	loader, err := NewModuleLoader("testdata/mod", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+	}
+	want := []string{"example.com/outer", "example.com/outer/sub"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Load(./...) = %v, want %v", got, want)
 	}
 }

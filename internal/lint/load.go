@@ -155,7 +155,9 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 }
 
 // packageDirs walks base collecting directories that contain .go files,
-// skipping testdata, vendor, hidden and underscore-prefixed directories.
+// skipping testdata, vendor, hidden and underscore-prefixed directories,
+// and, as the go tool's ./... does, any directory below base with its own
+// go.mod: that is a separate module.
 func packageDirs(base string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
@@ -164,8 +166,14 @@ func packageDirs(base string) ([]string, error) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if p != base && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if p == base {
+				return nil
+			}
+			if name == "testdata" || name == "vendor" ||
+				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

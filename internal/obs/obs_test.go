@@ -7,14 +7,20 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nwids/internal/metrics"
 )
 
 // TestConcurrentInstruments hammers every instrument type from many
-// goroutines; run with -race to check the synchronization.
+// goroutines; run with -race to check the synchronization. Histogram h
+// takes more observations than HistogramRetain, so only its count and
+// extremes are exact; histogram hx stays within HistogramRetain, so its
+// quantiles are exact too, whatever the goroutine interleaving.
 func TestConcurrentInstruments(t *testing.T) {
 	reg := NewRegistry()
 	const workers = 8
 	const perWorker = 1000
+	const exactPerWorker = HistogramRetain / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -27,6 +33,9 @@ func TestConcurrentInstruments(t *testing.T) {
 				reg.Gauge("g").Set(float64(i))
 				reg.Gauge("gmax").Max(float64(w*perWorker + i))
 				reg.Histogram("h").Observe(float64(i))
+				if i < exactPerWorker {
+					reg.Histogram("hx").Observe(float64(i))
+				}
 				reg.Timer("t").ObserveDuration(time.Duration(i) * time.Microsecond)
 			}
 		}()
@@ -53,8 +62,21 @@ func TestConcurrentInstruments(t *testing.T) {
 	if math.Abs(hs.Mean-wantMean) > 1e-9 {
 		t.Errorf("histogram mean = %g, want %g", hs.Mean, wantMean)
 	}
-	if hs.P50 < wantMean-1 || hs.P50 > wantMean+1 {
-		t.Errorf("histogram p50 = %g, want ≈%g", hs.P50, wantMean)
+	if !hs.Sampled {
+		t.Errorf("histogram with %d observations is not marked sampled", hs.Count)
+	}
+	var exact []float64
+	for w := 0; w < workers; w++ {
+		for i := 0; i < exactPerWorker; i++ {
+			exact = append(exact, float64(i))
+		}
+	}
+	xs := reg.Histogram("hx").Snapshot()
+	if xs.Count != len(exact) || xs.Sampled {
+		t.Errorf("histogram hx count/sampled = %d/%v, want %d/false", xs.Count, xs.Sampled, len(exact))
+	}
+	if want := metrics.Quantile(exact, 0.5); xs.P50 != want {
+		t.Errorf("histogram hx p50 = %g, want %g", xs.P50, want)
 	}
 	if ts := reg.Timer("t").Snapshot(); ts.Count != workers*perWorker {
 		t.Errorf("timer count = %d, want %d", ts.Count, workers*perWorker)

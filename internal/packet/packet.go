@@ -121,15 +121,19 @@ func (c GeneratorConfig) withDefaults() GeneratorConfig {
 
 // Generator synthesizes deterministic session traces for a traffic matrix,
 // playing the role of the paper's offline trace generator plus the M57
-// payload templates.
+// payload templates. Every draw comes from one rand.NewSource(seed) value
+// stream: tuples, coin flips and plant offsets through rng, payload bytes
+// straight from src, the same source rng wraps.
 type Generator struct {
 	cfg GeneratorConfig
+	src *fibSource
 	rng *rand.Rand
 }
 
 // NewGenerator returns a generator with the given config and seed.
 func NewGenerator(cfg GeneratorConfig, seed int64) *Generator {
-	return &Generator{cfg: cfg.withDefaults(), rng: rand.New(rand.NewSource(seed))}
+	src := newFibSource(seed)
+	return &Generator{cfg: cfg.withDefaults(), src: src, rng: rand.New(src)}
 }
 
 // Session produces one session between hosts at the given PoPs.
@@ -149,13 +153,19 @@ func (g *Generator) Session(srcPoP, dstPoP int) Session {
 		s.SignatureID = g.rng.Intn(len(g.cfg.Signatures))
 		plantAt = g.rng.Intn(g.cfg.PacketsPerSession)
 	}
+	// One backing block for the session's payloads; each packet gets a
+	// capacity-capped window of it.
+	n := g.cfg.PayloadBytes
+	block := make([]byte, g.cfg.PacketsPerSession*n)
+	s.Packets = make([]Packet, 0, g.cfg.PacketsPerSession)
 	for i := 0; i < g.cfg.PacketsPerSession; i++ {
 		dir := Direction(i % 2)
 		t := tuple
 		if dir == Reverse {
 			t = tuple.Reverse()
 		}
-		payload := g.payload(g.cfg.PayloadBytes)
+		payload := block[i*n : (i+1)*n : (i+1)*n]
+		g.src.fillAlphabet(payload)
 		if i == plantAt {
 			sig := g.cfg.Signatures[s.SignatureID]
 			if len(sig) <= len(payload) {
@@ -168,41 +178,76 @@ func (g *Generator) Session(srcPoP, dstPoP int) Session {
 	return s
 }
 
-// payload fills benign filler bytes drawn from a printable alphabet so that
-// planted signatures are the only detections.
+// payload returns n benign filler bytes drawn from a printable alphabet so
+// that planted signatures are the only detections.
 func (g *Generator) payload(n int) []byte {
-	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 ._/"
 	b := make([]byte, n)
-	for i := range b {
-		b[i] = alphabet[g.rng.Intn(len(alphabet))]
-	}
+	g.src.fillAlphabet(b)
 	return b
 }
 
 // Matrix generates sessionsPerPair[i][j] sessions for every PoP pair,
 // returning them in a deterministic interleaved injection order (round-robin
-// across pairs, preserving intra-session order downstream).
+// across pairs, preserving intra-session order downstream). It collects
+// Stream(sessionsPerPair).
 func (g *Generator) Matrix(sessionsPerPair [][]int) []Session {
-	var out []Session
+	return g.Stream(sessionsPerPair).Collect()
+}
+
+// Stream returns an iterator over the sessions Matrix(sessionsPerPair)
+// returns, in the same order, generating each one only when it is asked
+// for. The generator must not be used for anything else until the stream
+// is exhausted.
+func (g *Generator) Stream(sessionsPerPair [][]int) *SessionStream {
 	n := len(sessionsPerPair)
-	remaining := 0
-	counts := make([][]int, n)
-	for i := range counts {
-		counts[i] = append([]int(nil), sessionsPerPair[i]...)
-		for _, c := range counts[i] {
-			remaining += c
+	st := &SessionStream{g: g, n: n, counts: make([]int, n*n)}
+	for a, row := range sessionsPerPair {
+		for b, c := range row {
+			st.counts[a*n+b] = c
+			st.left += c
 		}
 	}
-	for remaining > 0 {
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if counts[a][b] > 0 {
-					counts[a][b]--
-					remaining--
-					out = append(out, g.Session(a, b))
-				}
-			}
-		}
+	st.total = st.left
+	return st
+}
+
+// SessionStream yields a traffic matrix's sessions one at a time in
+// Matrix's round-robin order: repeated sweeps over the (src, dst) pairs in
+// row-major order, one session per pair that still has sessions left.
+type SessionStream struct {
+	g           *Generator
+	n           int
+	counts      []int // sessions left per pair, row-major
+	total, left int
+	at          int // row-major pair index the sweep resumes at
+}
+
+// Len returns the total number of sessions the stream yields.
+func (st *SessionStream) Len() int { return st.total }
+
+// Next returns the next session, or false once the stream is exhausted.
+func (st *SessionStream) Next() (Session, bool) {
+	if st.left == 0 {
+		return Session{}, false
+	}
+	for st.counts[st.at] == 0 {
+		st.at = (st.at + 1) % len(st.counts)
+	}
+	pair := st.at
+	st.counts[pair]--
+	st.left--
+	st.at = (st.at + 1) % len(st.counts)
+	return st.g.Session(pair/st.n, pair%st.n), true
+}
+
+// Collect drains the stream into a slice (nil when it is empty).
+func (st *SessionStream) Collect() []Session {
+	var out []Session
+	if st.left > 0 {
+		out = make([]Session, 0, st.left)
+	}
+	for s, ok := st.Next(); ok; s, ok = st.Next() {
+		out = append(out, s)
 	}
 	return out
 }
