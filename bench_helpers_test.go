@@ -62,8 +62,10 @@ func benchRev() string {
 
 // benchRecord folds a benchmark invocation's per-op wall time into the
 // shared registry under bench.<name>.sec_per_op. Defer it at the top of a
-// benchmark body (calibration passes contribute too, so the histogram shows
-// the spread, not just the final N).
+// leaf benchmark body (calibration passes contribute too, so the histogram
+// shows the spread, not just the final N). A benchmark that calls b.Run
+// must not record: its elapsed time is the total of its sub-benchmarks, and
+// benchdiff would read their noise as a regression of the parent.
 func benchRecord(b *testing.B) {
 	if b.N > 0 {
 		benchReg.Histogram("bench." + b.Name() + ".sec_per_op").

@@ -253,7 +253,6 @@ func (d *packetPathData) seedEngines(m *seedMatcher) []*seedEngine {
 // bench.packetpath.* gauges (pps, ns_per_pkt, gbps, allocs_per_pkt,
 // speedup) feed the BENCH_<rev>.json trajectory.
 func BenchmarkPacketPath(b *testing.B) {
-	defer benchRecord(b)
 	d := newPacketPathData(b, 400)
 	var fastSec, shardSec, refSec float64
 	b.Run("fast", func(b *testing.B) {
@@ -339,7 +338,6 @@ func BenchmarkPacketPath(b *testing.B) {
 // dispatch, the batch entry point, and the seed's map-plus-float-range
 // reference semantics.
 func BenchmarkDecide(b *testing.B) {
-	defer benchRecord(b)
 	d := newPacketPathData(b, 64)
 	sh, cfg := d.shims[0], d.cfgs[0]
 	gen := newBenchPacketGen()
@@ -379,7 +377,6 @@ func BenchmarkDecide(b *testing.B) {
 // payloads: the buffer-reusing entry point against the seed's closure-fed
 // per-state-slice layout.
 func BenchmarkScanStream(b *testing.B) {
-	defer benchRecord(b)
 	pats := nids.Patterns(nids.DefaultRules())
 	m := nids.NewMatcher(pats)
 	sm := newSeedMatcher(pats)

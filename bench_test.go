@@ -24,7 +24,6 @@ func benchOpts() experiments.Options {
 // BenchmarkTable1 measures the replication-LP solve time per topology at
 // full evaluation scale — the quantity reported in Table 1.
 func BenchmarkTable1(b *testing.B) {
-	defer benchRecord(b)
 	for _, name := range topology.EvaluationNames() {
 		b.Run(name+"/replication", func(b *testing.B) {
 			defer benchRecord(b)
@@ -77,7 +76,6 @@ func benchWarmPair(b *testing.B, name string, run func(b *testing.B, cold bool))
 // win: lp-warm re-solves Fig 10's replication LP through a solver handle
 // (the §3 controller re-running on the same model), lp-cold from scratch.
 func BenchmarkFig10(b *testing.B) {
-	defer benchRecord(b)
 	b.Run("emulation", func(b *testing.B) {
 		defer benchRecord(b)
 		for i := 0; i < b.N; i++ {
@@ -118,7 +116,6 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 sweeps MaxLinkLoad (max compute load vs allowed link load)
 // with basis chaining along each topology's sweep, and cold per point.
 func BenchmarkFig11(b *testing.B) {
-	defer benchRecord(b)
 	benchWarmPair(b, "Fig11", func(b *testing.B, cold bool) {
 		opts := benchOpts()
 		opts.ColdLP = cold
@@ -165,7 +162,6 @@ func BenchmarkFig14(b *testing.B) {
 // full density so the LP time dominates: warm chains each architecture's
 // basis across the matrix sequence, cold solves every point from scratch.
 func BenchmarkFig15(b *testing.B) {
-	defer benchRecord(b)
 	benchWarmPair(b, "Fig15", func(b *testing.B, cold bool) {
 		opts := experiments.Options{ColdLP: cold}
 		for i := 0; i < b.N; i++ {
@@ -206,7 +202,6 @@ func BenchmarkFig17(b *testing.B) {
 // chains one AggregationSolver handle along Fig 18's β axis (SetBeta is a
 // pure objective rewrite), lp-cold rebuilds and solves from scratch per β.
 func BenchmarkFig18(b *testing.B) {
-	defer benchRecord(b)
 	b.Run("figure", func(b *testing.B) {
 		defer benchRecord(b)
 		for i := 0; i < b.N; i++ {

@@ -2,8 +2,12 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -230,6 +234,305 @@ func TestFactorUpdateRejectsTinyPivot(t *testing.T) {
 	w := []float64{0, 1e-12}
 	if err := f.Update(1, w, 1e-8); err == nil {
 		t.Fatal("want error for tiny eta pivot")
+	}
+}
+
+// denseFactorize is the dense-scan left-looking LU that Factor.Factorize
+// replaced: it scans all m rows to pick each pivot and to emit each L column
+// and walks every earlier pivot position per column. Factorize must produce
+// bit-identical factors, so the simplex pivot path cannot move.
+func denseFactorize(f *Factor, m int, col basisColumn, pivotTol float64) error {
+	f.m = m
+	f.lPtr, f.lRow, f.lVal = []int32{0}, nil, nil
+	f.uPtr, f.uRow, f.uVal, f.udiag = []int32{0}, nil, nil, nil
+	f.prow = make([]int32, m)
+	f.pinv = make([]int32, m)
+	f.cq = make([]int32, m)
+	for i := range f.pinv {
+		f.pinv[i] = -1
+	}
+	order := make([]int32, m)
+	counts := make([]int32, m)
+	for k := 0; k < m; k++ {
+		order[k] = int32(k)
+		rows, _ := col(k)
+		counts[k] = int32(len(rows))
+	}
+	sort.SliceStable(order, func(a, b int) bool { return counts[order[a]] < counts[order[b]] })
+	x := make([]float64, m)
+	var failed []int
+	npiv := 0
+	for _, kc := range order {
+		rows, vals := col(int(kc))
+		for i, r := range rows {
+			x[r] = vals[i]
+		}
+		for t := 0; t < npiv; t++ {
+			xv := x[f.prow[t]]
+			if xv == 0 {
+				continue
+			}
+			for q := f.lPtr[t]; q < f.lPtr[t+1]; q++ {
+				x[f.lRow[q]] -= f.lVal[q] * xv
+			}
+		}
+		var best int32 = -1
+		bestAbs := 0.0
+		for i := 0; i < m; i++ {
+			if x[i] != 0 && f.pinv[i] < 0 {
+				if a := math.Abs(x[i]); a > bestAbs {
+					bestAbs = a
+					best = int32(i)
+				}
+			}
+		}
+		if best < 0 || bestAbs < pivotTol {
+			for i := range x {
+				x[i] = 0
+			}
+			failed = append(failed, int(kc))
+			continue
+		}
+		k := npiv
+		for t := 0; t < k; t++ {
+			pr := f.prow[t]
+			if v := x[pr]; v != 0 {
+				f.uRow = append(f.uRow, int32(t))
+				f.uVal = append(f.uVal, v)
+				x[pr] = 0
+			}
+		}
+		f.uPtr = append(f.uPtr, int32(len(f.uRow)))
+		piv := x[best]
+		f.udiag = append(f.udiag, piv)
+		x[best] = 0
+		for i := 0; i < m; i++ {
+			if x[i] != 0 {
+				f.lRow = append(f.lRow, int32(i))
+				f.lVal = append(f.lVal, x[i]/piv)
+				x[i] = 0
+			}
+		}
+		f.lPtr = append(f.lPtr, int32(len(f.lRow)))
+		f.prow[k] = best
+		f.pinv[best] = int32(k)
+		f.cq[k] = kc
+		npiv++
+	}
+	if npiv < m {
+		var unp []int
+		for i := 0; i < m; i++ {
+			if f.pinv[i] < 0 {
+				unp = append(unp, i)
+			}
+		}
+		return &SingularError{FailedPositions: failed, UnpivotedRows: unp}
+	}
+	for q := range f.lRow {
+		f.lRow[q] = f.pinv[f.lRow[q]]
+	}
+	return nil
+}
+
+// sameFloatBits reports whether a and b hold the same IEEE-754 bit patterns.
+func sameFloatBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// diffFactors describes the first difference between two factorizations,
+// or returns "" when every factor array matches bit for bit. prow and cq
+// are compared over the pivoted positions only: past them a reused Factor
+// keeps stale entries that no solve reads.
+func diffFactors(got, want *Factor) string {
+	np := len(want.udiag)
+	ints := []struct {
+		name      string
+		got, want []int32
+	}{
+		{"lPtr", got.lPtr, want.lPtr}, {"lRow", got.lRow, want.lRow},
+		{"uPtr", got.uPtr, want.uPtr}, {"uRow", got.uRow, want.uRow},
+		{"pinv", got.pinv, want.pinv},
+		{"prow", got.prow[:min(np, len(got.prow))], want.prow[:np]},
+		{"cq", got.cq[:min(np, len(got.cq))], want.cq[:np]},
+	}
+	for _, c := range ints {
+		if !slices.Equal(c.got, c.want) {
+			return fmt.Sprintf("%s: got %v want %v", c.name, c.got, c.want)
+		}
+	}
+	floats := []struct {
+		name      string
+		got, want []float64
+	}{
+		{"lVal", got.lVal, want.lVal}, {"uVal", got.uVal, want.uVal}, {"udiag", got.udiag, want.udiag},
+	}
+	for _, c := range floats {
+		if !sameFloatBits(c.got, c.want) {
+			return fmt.Sprintf("%s: got %v want %v", c.name, c.got, c.want)
+		}
+	}
+	return ""
+}
+
+// Matrix families for the differential test. Each stresses one branch of
+// the pivot and elimination logic.
+
+// tieMatrix draws entries from {±1, ±2} so equal-magnitude pivot candidates
+// are common and the lowest-row tie-break decides.
+func tieMatrix(rng *rand.Rand, m int) [][]float64 {
+	a := make([][]float64, m)
+	for i := range a {
+		a[i] = make([]float64, m)
+	}
+	perm := rng.Perm(m)
+	vals := []float64{-2, -1, 1, 2}
+	for i := 0; i < m; i++ {
+		a[i][perm[i]] = vals[rng.Intn(4)]
+	}
+	for k := 0; k < 3*m; k++ {
+		a[rng.Intn(m)][rng.Intn(m)] = vals[rng.Intn(4)]
+	}
+	return a
+}
+
+// cancelMatrix uses ±1 entries only: every multiplier is ±1 and every
+// update is exact integer arithmetic, so eliminations cancel to exactly 0
+// (and to structurally singular columns) often.
+func cancelMatrix(rng *rand.Rand, m int) [][]float64 {
+	a := make([][]float64, m)
+	for i := range a {
+		a[i] = make([]float64, m)
+	}
+	for k := 0; k < 3*m; k++ {
+		a[rng.Intn(m)][rng.Intn(m)] = float64(2*rng.Intn(2) - 1)
+	}
+	return a
+}
+
+// singularMatrix zeroes a column, duplicates another and empties a row.
+func singularMatrix(rng *rand.Rand, m int) [][]float64 {
+	a := randomSparseMatrix(rng, m)
+	if m < 3 {
+		return a
+	}
+	z, d, src, row := rng.Intn(m), rng.Intn(m), rng.Intn(m), rng.Intn(m)
+	for i := 0; i < m; i++ {
+		a[i][z] = 0
+		if rng.Intn(2) == 0 {
+			a[i][d] = a[i][src]
+		}
+	}
+	if rng.Intn(2) == 0 {
+		for j := 0; j < m; j++ {
+			a[row][j] = 0
+		}
+	}
+	return a
+}
+
+// nearTriangularMatrix mimics the simplex bases of the NIDS formulations:
+// a permuted lower-triangular matrix with many −1 logical columns and a
+// few entries above the diagonal.
+func nearTriangularMatrix(rng *rand.Rand, m int) [][]float64 {
+	a := make([][]float64, m)
+	for i := range a {
+		a[i] = make([]float64, m)
+	}
+	rp, cp := rng.Perm(m), rng.Perm(m)
+	for j := 0; j < m; j++ {
+		if rng.Intn(3) == 0 {
+			a[rp[j]][cp[j]] = -1
+			continue
+		}
+		a[rp[j]][cp[j]] = 0.5 + rng.Float64()
+		for i := j + 1; i < m; i++ {
+			if rng.Intn(4) == 0 {
+				a[rp[i]][cp[j]] = rng.NormFloat64()
+			}
+		}
+	}
+	for k := 0; k < m/4; k++ {
+		a[rng.Intn(m)][rng.Intn(m)] = rng.NormFloat64()
+	}
+	return a
+}
+
+func TestFactorizeMatchesDenseReference(t *testing.T) {
+	families := []struct {
+		name string
+		gen  func(*rand.Rand, int) [][]float64
+	}{
+		{"random", randomSparseMatrix},
+		{"ties", tieMatrix},
+		{"cancel", cancelMatrix},
+		{"singular", singularMatrix},
+		{"triangular", nearTriangularMatrix},
+	}
+	rng := rand.New(rand.NewSource(11))
+	var reused Factor // carries scratch across trials and sizes
+	singular := 0
+	for _, fam := range families {
+		for trial := 0; trial < 150; trial++ {
+			m := 1 + rng.Intn(40)
+			a := fam.gen(rng, m)
+			var want Factor
+			wantErr := denseFactorize(&want, m, columnsOf(a), 1e-10)
+			for _, f := range []*Factor{new(Factor), &reused} {
+				err := f.Factorize(m, columnsOf(a), 1e-10)
+				if !reflect.DeepEqual(err, wantErr) {
+					t.Fatalf("%s trial %d (m=%d): error %v, reference %v", fam.name, trial, m, err, wantErr)
+				}
+				if d := diffFactors(f, &want); d != "" {
+					t.Fatalf("%s trial %d (m=%d): %s", fam.name, trial, m, d)
+				}
+			}
+			if wantErr != nil {
+				singular++
+			}
+		}
+	}
+	if singular < 100 {
+		t.Errorf("only %d singular cases; the singular paths are under-tested", singular)
+	}
+}
+
+func TestFactorAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m := 60
+	a := nearTriangularMatrix(rng, m)
+	col := columnsOf(a)
+	rows := make([][]int32, m)
+	vals := make([][]float64, m)
+	for k := 0; k < m; k++ {
+		rows[k], vals[k] = col(k)
+	}
+	cols := func(k int) ([]int32, []float64) { return rows[k], vals[k] }
+	w := make([]float64, m)
+	var f Factor
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := f.Factorize(m, cols, 1e-10); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 8; r++ {
+			for i := range w {
+				w[i] = float64(i%3) * 0.5
+			}
+			w[r] = 1
+			if err := f.Update(r, w, 1e-10); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Factorize+Update allocates %.1f times per run", allocs)
 	}
 }
 

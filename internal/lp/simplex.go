@@ -58,6 +58,16 @@ type simplex struct {
 	priceCursor int
 	rho         []float64
 
+	// Row-major copy of A for the devex pivot row, built on the first devex
+	// update: row i's entries are rowCol/rowVal[rowPtr[i]:rowPtr[i+1]],
+	// ascending in column. alpha accumulates the pivot row, zero outside
+	// the columns listed in touched.
+	rowPtr  []int32
+	rowCol  []int32
+	rowVal  []float64
+	alpha   []float64
+	touched []int32
+
 	iters    int
 	refacts  int
 	bland    bool
@@ -580,16 +590,34 @@ func (s *simplex) devexUpdate(enter, leave, blockPos int) {
 	wq := s.dvx[enter]
 	ratio := wq / (arq * arq)
 	var maxW float64
-	for j := 0; j < s.n; j++ {
-		if s.state[j] == stBasic || j == enter {
+	// Structural pivot row α_j = Σ_i rho_i·a_ij, accumulated row by row
+	// over the rows with rho_i ≠ 0 in ascending i. Columns are sorted by
+	// row, so each α_j sums the same nonzero terms in the same order as a
+	// dot product down column j; the terms skipped here are signed zeros,
+	// which never change a sum that starts at +0.
+	if s.rowPtr == nil {
+		s.buildRows()
+	}
+	alpha, touched := s.alpha, s.touched[:0]
+	for i, r := range s.rho {
+		if r == 0 {
 			continue
 		}
-		var dot float64
-		rows, vals := s.p.column(j)
-		for k, r := range rows {
-			dot += vals[k] * s.rho[r]
+		vals := s.rowVal[s.rowPtr[i]:s.rowPtr[i+1]]
+		for q, j := range s.rowCol[s.rowPtr[i]:s.rowPtr[i+1]] {
+			// A column whose sum is still (or again) exactly zero may be
+			// listed twice; the second visit finds alpha reset and skips.
+			if alpha[j] == 0 {
+				touched = append(touched, j)
+			}
+			alpha[j] += vals[q] * r
 		}
-		if dot == 0 {
+	}
+	for _, jj := range touched {
+		j := int(jj)
+		dot := alpha[j]
+		alpha[j] = 0
+		if dot == 0 || s.state[j] == stBasic || j == enter {
 			continue
 		}
 		if cand := dot * dot * ratio; cand > s.dvx[j] {
@@ -599,6 +627,7 @@ func (s *simplex) devexUpdate(enter, leave, blockPos int) {
 			maxW = s.dvx[j]
 		}
 	}
+	s.touched = touched
 	for i := 0; i < s.m; i++ {
 		j := s.n + i
 		if s.state[j] == stBasic || j == enter {
@@ -626,6 +655,32 @@ func (s *simplex) devexUpdate(enter, leave, blockPos int) {
 	if maxW > devexResetThreshold {
 		s.resetDevex(true)
 	}
+}
+
+// buildRows builds the row-major copy of the structural matrix used by
+// devexUpdate, in O(nnz).
+func (s *simplex) buildRows() {
+	p := s.p
+	s.rowPtr = make([]int32, s.m+1)
+	for _, r := range p.rowIdx {
+		s.rowPtr[r+1]++
+	}
+	for i := 0; i < s.m; i++ {
+		s.rowPtr[i+1] += s.rowPtr[i]
+	}
+	nnz := len(p.rowIdx)
+	s.rowCol = make([]int32, nnz)
+	s.rowVal = make([]float64, nnz)
+	next := append([]int32(nil), s.rowPtr[:s.m]...)
+	for j := 0; j < s.n; j++ {
+		rows, vals := p.column(j)
+		for k, r := range rows {
+			s.rowCol[next[r]] = int32(j)
+			s.rowVal[next[r]] = vals[k]
+			next[r]++
+		}
+	}
+	s.alpha = make([]float64, s.n)
 }
 
 // ratioResult describes the outcome of the ratio test.
